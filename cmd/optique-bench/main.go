@@ -106,15 +106,6 @@ var experiments = []string{
 	"record", "list", "all",
 }
 
-// interpretHaving carries the -havingcompile flag (inverted) into the
-// full-system experiments (testsets).
-var interpretHaving bool
-
-// vecMode carries the -vectorized flag into the cluster and full-system
-// experiments (VecOff = tuple-at-a-time row path); the recorded `go
-// test -bench` dimensions carry their own ablation instead.
-var vecMode exastream.VecMode
-
 // recoveryOn/checkpointEvery carry -recovery/-checkpoint-every into the
 // cluster experiments: checkpoint overhead is part of the measured path,
 // so the sweeps can quantify what exactly-once delivery costs.
@@ -159,11 +150,9 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, "|"))
 	maxQueries := flag.Int("maxqueries", 1024, "upper bound for the concurrency sweep")
 	maxNodes := flag.Int("maxnodes", 128, "upper bound for the node-scaling sweep")
-	benchPat := flag.String("bench", "Figure1EndToEnd|CompiledVsInterpreted|HavingMatcher", "benchmark pattern for -exp record")
+	benchPat := flag.String("bench", "Figure1EndToEnd|Figure1WindowPlans|CompiledVsInterpreted|HavingMatcher", "benchmark pattern for -exp record")
 	benchTime := flag.String("benchtime", "2s", "benchtime for -exp record")
 	benchOut := flag.String("out", "BENCH_PR10.json", "output file for -exp record")
-	havingcompile := flag.Bool("havingcompile", true, "compile STARQL HAVING conditions to slot-frame matchers (false = tree interpreter)")
-	vectorized := flag.Bool("vectorized", true, "execute windows on the columnar batch path (false = tuple-at-a-time row path)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /traces and /debug/pprof on this address (e.g. localhost:6060; unauthenticated, \":port\" binds loopback)")
 	flag.BoolVar(&recoveryOn, "recovery", false, "checkpoint worker state for exactly-once recovery (measures the checkpoint overhead)")
 	flag.IntVar(&checkpointEvery, "checkpoint-every", 64, "tuples between pulse-aligned checkpoints (with -recovery)")
@@ -179,10 +168,6 @@ func main() {
 	var err error
 	if transportKind, err = cluster.ParseTransport(*transportName); err != nil {
 		log.Fatal(err)
-	}
-	interpretHaving = !*havingcompile
-	if !*vectorized {
-		vecMode = exastream.VecOff
 	}
 
 	var telemetrySrv *telemetry.Server
@@ -306,7 +291,7 @@ func runConcurrent(queries, nodes, tuples int) (float64, float64, exastream.Stat
 	cat := relation.NewCatalog()
 	copts := cluster.Options{
 		Nodes: nodes, PartitionColumn: "sid",
-		Engine: exastream.Options{AdaptiveIndexing: true, ShareWindows: true, Vectorized: vecMode},
+		Engine: exastream.Options{AdaptiveIndexing: true, ShareWindows: true},
 	}
 	if recoveryOn {
 		copts.CheckpointEvery = checkpointEvery
@@ -466,8 +451,7 @@ func runTestSet(idx int) (int, int, float64, int64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	scfg := optique.Config{Nodes: 4, InterpretHaving: interpretHaving, Vectorized: vecMode,
-		Optimize: optimizeOn, Analyze: analyzeOn}
+	scfg := optique.Config{Nodes: 4, Optimize: optimizeOn, Analyze: analyzeOn}
 	if recoveryOn {
 		scfg.CheckpointEvery = checkpointEvery
 	}

@@ -230,12 +230,12 @@ func recoveryChaosInjector() FaultInjector {
 }
 
 // TestRecoveryChaosVectorizedSnapshotParity extends the failover
-// acceptance scenario to the columnar execution path: with Vectorized
-// pinned on and off, the same chaos schedule must deliver identical
-// window sets, and the wCache batches each node checkpoints must
-// serialize byte-identically between the two paths — the columnar
-// transpose a vectorized window materializes is runtime-only state
-// (an unexported cell gob skips) and must never leak into durable
+// acceptance scenario to the columnar execution path: under the chaos
+// schedule the cluster must deliver the fault-free window sets, and the
+// wCache batches each node checkpoints must serialize byte-identically
+// to a plain Batch built from the same rows with no transpose — the
+// columnar form every shared window carries is runtime-only state (an
+// unexported cell gob skips) and must never leak into durable
 // snapshots or change what a restore rebuilds.
 func TestRecoveryChaosVectorizedSnapshotParity(t *testing.T) {
 	waitDead := func(c *Cluster) {
@@ -243,28 +243,23 @@ func TestRecoveryChaosVectorizedSnapshotParity(t *testing.T) {
 			return c.Health().Dead == 1
 		}, "failover of node 3")
 	}
-	shared := func(vec exastream.VecMode) exastream.Options {
-		// ShareWindows routes materialisation through wCache, so the
-		// checkpoints below carry cached batches to compare.
-		return exastream.Options{Vectorized: vec, ShareWindows: true}
-	}
-	baseline, _, _ := runRecoveryDiagnostics(t, 8, nil, nil, shared(exastream.VecOn))
-	vecRes, _, cVec := runRecoveryDiagnostics(t, 8, recoveryChaosInjector(), waitDead, shared(exastream.VecOn))
-	rowRes, _, cRow := runRecoveryDiagnostics(t, 8, recoveryChaosInjector(), waitDead, shared(exastream.VecOff))
+	// ShareWindows routes materialisation through wCache, so the
+	// checkpoints below carry cached batches to compare.
+	shared := exastream.Options{ShareWindows: true}
+	baseline, _, _ := runRecoveryDiagnostics(t, 8, nil, nil, shared)
+	vecRes, _, cVec := runRecoveryDiagnostics(t, 8, recoveryChaosInjector(), waitDead, shared)
 
-	// Content identity across the crash, on both paths.
+	// Content identity across the crash.
 	if !reflect.DeepEqual(baseline, vecRes) {
 		t.Error("vectorized chaos run diverged from the fault-free run")
 	}
-	if !reflect.DeepEqual(vecRes, rowRes) {
-		t.Error("vectorized and row-path chaos runs diverged")
-	}
 
-	// Byte identity: index every cached window in each cluster's latest
-	// checkpoints and compare the gob encoding of matched batches. The
-	// Batch struct carries no maps, so its gob form is deterministic;
-	// any columnar residue in the vectorized run's snapshots would show
-	// up as a byte difference here.
+	// Byte identity: the gob form of every cached window must equal that
+	// of a row-only Batch over the same rows. The Batch struct carries no
+	// maps, so its gob form is deterministic; any columnar residue would
+	// show up as a byte difference. Two sources are checked: the latest
+	// stored checkpoints, and a fresh export of each live node's engine,
+	// whose cached windows still hold their shared transpose.
 	gobBatch := func(b stream.Batch) []byte {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(b); err != nil {
@@ -272,35 +267,37 @@ func TestRecoveryChaosVectorizedSnapshotParity(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	index := func(c *Cluster) map[string]stream.Batch {
-		m := make(map[string]stream.Batch)
-		for node := 0; node < 4; node++ {
-			ck := c.rec.Latest(node)
-			if ck == nil {
-				continue
+	compared, transposed := 0, 0
+	check := func(where string, ws []stream.CachedWindow) {
+		for _, cw := range ws {
+			b := cw.Batch
+			plain := stream.Batch{WindowID: b.WindowID, Start: b.Start, End: b.End, Rows: b.Rows}
+			if !bytes.Equal(gobBatch(b), gobBatch(plain)) {
+				t.Errorf("%s: cached window %s/%d serialized differently from its row-only form",
+					where, cw.Stream, b.WindowID)
 			}
-			for _, cw := range ck.Engine.WCache {
-				key := fmt.Sprintf("%d/%s/%d/%d/%d", node, cw.Stream,
-					cw.Spec.RangeMS, cw.Spec.SlideMS, cw.Batch.WindowID)
-				m[key] = cw.Batch
+			compared++
+			if b.Columnar() {
+				transposed++
 			}
-		}
-		return m
-	}
-	vecWins, rowWins := index(cVec), index(cRow)
-	matched := 0
-	for key, vb := range vecWins {
-		rb, ok := rowWins[key]
-		if !ok {
-			continue
-		}
-		matched++
-		if !bytes.Equal(gobBatch(vb), gobBatch(rb)) {
-			t.Errorf("cached window %s serialized differently on the vectorized path", key)
 		}
 	}
-	if matched == 0 {
-		t.Fatal("no cached windows matched between the two runs; the byte comparison exercised nothing")
+	for node := 0; node < 4; node++ {
+		if ck := cVec.rec.Latest(node); ck != nil {
+			check(fmt.Sprintf("node %d checkpoint", node), ck.Engine.WCache)
+		}
+		cVec.mu.Lock()
+		n := cVec.nodes[node]
+		live := n.State() != NodeDead
+		eng := n.engine
+		cVec.mu.Unlock()
+		if live {
+			check(fmt.Sprintf("node %d export", node), eng.ExportState().WCache)
+		}
+	}
+	if compared == 0 || transposed == 0 {
+		t.Fatalf("compared %d cached windows, %d of them transposed; the byte comparison exercised nothing",
+			compared, transposed)
 	}
 
 	// Restore identity: an encode/decode round trip of a vectorized

@@ -4,11 +4,15 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/siemens"
+	"repro/internal/sql"
+	"repro/internal/starql"
+	"repro/internal/stream"
 )
 
 // deployWith is deploy with an explicit Config (streams declared, small
-// fleet), for the compiled-vs-interpreted HAVING ablations.
+// fleet).
 func deployWith(t *testing.T, cfg Config) (*System, *siemens.Generator) {
 	t.Helper()
 	gen, err := siemens.New(siemens.SmallConfig())
@@ -43,41 +47,73 @@ func sortedAlerts(log *answerLog) []string {
 	return out
 }
 
-// TestCompiledHavingAlertParity replays the Figure 1 workload through
-// two systems that differ only in the HAVING evaluation mode and
-// asserts they raise the identical alert set.
+// TestCompiledHavingAlertParity replays the Figure 1 workload and
+// checks the task's compiled HAVING matcher against the reference
+// interpreter on the very same windows: a second raw window query over
+// the task's stream and window spec runs on the same cluster, and its
+// sink builds each window's sequence and evaluates the HAVING clause
+// with starql.EvalHaving per binding. Both must raise the identical,
+// non-empty alert set.
 func TestCompiledHavingAlertParity(t *testing.T) {
-	runOnce := func(interpret bool) ([]string, *Task) {
-		sys, gen := deployWith(t, Config{Nodes: 1, InterpretHaving: interpret})
-		spec, ok := siemens.TaskByID("T01_mon_temperature")
-		if !ok {
-			t.Fatal("catalog task missing")
+	sys, gen := deployWith(t, Config{Nodes: 1})
+	spec, ok := siemens.TaskByID("T01_mon_temperature")
+	if !ok {
+		t.Fatal("catalog task missing")
+	}
+	compiled := &answerLog{}
+	task, err := sys.RegisterTask(spec.ID, spec.Query, compiled.sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if task.compiled == nil {
+		t.Fatal("task did not compile its HAVING matcher")
+	}
+
+	q, tl := task.Query, task.Translation
+	streamName := q.Streams[0].Name
+	builder := sys.builders[streamName]
+	interpreted := &answerLog{}
+	oracle := func(_ string, end int64, _ relation.Schema, rows []relation.Tuple) {
+		if len(rows) == 0 {
+			return
 		}
-		log := &answerLog{}
-		task, err := sys.RegisterTask(spec.ID, spec.Query, log.sink)
+		seq, err := builder.BuildColumnar(stream.Batch{End: end, Rows: rows}, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("window %d: %v", end, err)
+			return
 		}
-		feedDefaultEvents(t, sys, gen, 0, 60_000, 500, gen.SensorsOfTurbine(0))
-		return sortedAlerts(log), task
+		if seq.Len() == 0 {
+			return
+		}
+		for _, binding := range task.Bindings {
+			ok, err := starql.EvalHaving(q.Having, seq, binding, q.Aggregates)
+			if err != nil || !ok {
+				continue
+			}
+			interpreted.sink(task.ID, end, constructTriples(q, binding))
+		}
 	}
-	compiled, ctask := runOnce(false)
-	interpreted, itask := runOnce(true)
-	if !ctask.CompiledHaving() {
-		t.Error("default mode did not compile the HAVING matcher")
+	stmt := sql.NewSelect()
+	stmt.Items = []sql.SelectItem{{Star: true}}
+	stmt.From = []*sql.TableRef{{
+		Table: streamName, IsStream: true, Alias: "w",
+		Window: &sql.WindowSpec{RangeMS: tl.Window.RangeMS, SlideMS: tl.Window.SlideMS},
+	}}
+	if _, err := sys.Cluster().Register("oracle", stmt, tl.Pulse, oracle); err != nil {
+		t.Fatal(err)
 	}
-	if itask.CompiledHaving() {
-		t.Error("InterpretHaving still compiled the matcher")
-	}
-	if len(compiled) == 0 {
+
+	feedDefaultEvents(t, sys, gen, 0, 60_000, 500, gen.SensorsOfTurbine(0))
+	want, got := sortedAlerts(interpreted), sortedAlerts(compiled)
+	if len(want) == 0 {
 		t.Fatal("no alerts raised — the parity check is vacuous")
 	}
-	if len(compiled) != len(interpreted) {
-		t.Fatalf("alert sets differ: %d compiled vs %d interpreted", len(compiled), len(interpreted))
+	if len(got) != len(want) {
+		t.Fatalf("alert sets differ: %d compiled vs %d interpreted", len(got), len(want))
 	}
-	for i := range compiled {
-		if compiled[i] != interpreted[i] {
-			t.Fatalf("alert %d differs: compiled %q vs interpreted %q", i, compiled[i], interpreted[i])
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("alert %d differs: compiled %q vs interpreted %q", i, got[i], want[i])
 		}
 	}
 }

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -44,16 +45,6 @@ type Config struct {
 	PartitionColumn string
 	// Translate tunes enrichment/unfolding.
 	Translate starql.Options
-	// InterpretHaving evaluates HAVING conditions with the tree-walking
-	// reference interpreter instead of the compiled matcher
-	// (starql.CompileHaving). Ablation/debugging switch, the HAVING
-	// analogue of Engine.InterpretExprs.
-	InterpretHaving bool
-	// Vectorized selects columnar batch execution: it is forwarded to
-	// each node's engine (Engine.Vectorized) and routes the HAVING
-	// sequence builder through its columnar path. The zero value is on;
-	// VecOff here or on Engine.Vectorized turns both off.
-	Vectorized exastream.VecMode
 
 	// Backpressure selects the full-queue ingest policy (see cluster).
 	Backpressure cluster.Backpressure
@@ -165,16 +156,11 @@ type Task struct {
 
 	// compiled is the query's HAVING condition lowered by
 	// starql.CompileHaving at registration; nil when the query has no
-	// HAVING clause or Config.InterpretHaving is set. It lives and dies
-	// with the registration record (the query AST is immutable, so unlike
-	// window plans there is nothing at runtime that can invalidate it;
-	// re-registering recompiles).
+	// HAVING clause. It lives and dies with the registration record (the
+	// query AST is immutable, so unlike window plans there is nothing at
+	// runtime that can invalidate it; re-registering recompiles).
 	compiled *starql.CompiledHaving
 }
-
-// CompiledHaving reports whether the task evaluates its HAVING clause
-// with the compiled matcher.
-func (t *Task) CompiledHaving() bool { return t.compiled != nil }
 
 // Answers returns the number of CONSTRUCT triples emitted so far.
 func (t *Task) Answers() int64 { return atomic.LoadInt64(&t.answers) }
@@ -198,9 +184,6 @@ func NewSystem(cfg Config, tbox *ontology.TBox, set *mapping.Set, catalog *relat
 	engCfg := cfg.Engine
 	if engCfg.Tracer == nil {
 		engCfg.Tracer = tracer
-	}
-	if cfg.Vectorized == exastream.VecOff {
-		engCfg.Vectorized = exastream.VecOff
 	}
 	if cfg.Optimize {
 		cfg.Analyze = true
@@ -349,9 +332,8 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 		subjects: map[string]bool{}, sink: sink,
 	}
 	// Compile the HAVING condition once per registered query; every
-	// window evaluation reuses the program (DESIGN.md §10). The
-	// interpreter remains the reference path behind InterpretHaving.
-	if q.Having != nil && !s.cfg.InterpretHaving {
+	// window evaluation reuses the program (DESIGN.md §10).
+	if q.Having != nil {
 		task.compiled = starql.CompileHaving(q.Having, q.Aggregates)
 		s.havingCompiled.Inc()
 	}
@@ -407,41 +389,27 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 // build the StdSeq sequence, evaluate HAVING per binding, emit CONSTRUCT
 // triples.
 func (s *System) windowSink(task *Task, builder *starql.SequenceBuilder) exastream.Sink {
-	vectorized := s.cfg.Engine.Vectorized == exastream.VecOn
 	return func(_ string, windowEnd int64, _ relation.Schema, rows []relation.Tuple) {
 		atomic.AddInt64(&task.windows, 1)
 		if len(rows) == 0 {
 			return
 		}
-		batch := stream.Batch{End: windowEnd, Rows: rows}
 		subjects := task.subjects
 		if len(subjects) == 0 {
 			subjects = nil
 		}
-		var seq *starql.Sequence
-		var err error
-		if vectorized {
-			seq, err = builder.BuildColumnar(batch, subjects)
-		} else {
-			seq, err = builder.Build(batch, subjects)
-		}
+		seq, err := builder.BuildColumnar(stream.Batch{End: windowEnd, Rows: rows}, subjects)
 		if err != nil || seq.Len() == 0 {
 			return
 		}
 		var triples []rdf.Triple
-		having := task.Query.Having
 		var hstart time.Time
-		if having != nil {
+		if task.compiled != nil {
 			hstart = time.Now()
 		}
 		for _, binding := range task.Bindings {
-			if having != nil {
-				var ok bool
-				if task.compiled != nil {
-					ok, err = task.compiled.Eval(seq, binding)
-				} else {
-					ok, err = starql.EvalHaving(having, seq, binding, task.Query.Aggregates)
-				}
+			if task.compiled != nil {
+				ok, err := task.compiled.Eval(seq, binding)
 				s.havingEvals.Inc()
 				if err != nil || !ok {
 					continue
@@ -450,7 +418,7 @@ func (s *System) windowSink(task *Task, builder *starql.SequenceBuilder) exastre
 			}
 			triples = append(triples, constructTriples(task.Query, binding)...)
 		}
-		if having != nil {
+		if task.compiled != nil {
 			s.havingNS.Observe(float64(time.Since(hstart).Nanoseconds()))
 		}
 		if len(triples) > 0 {
@@ -555,11 +523,21 @@ func (s *System) Ingest(streamName string, el stream.Timestamped) error {
 	return s.cluster.Ingest(streamName, el)
 }
 
+// flushRounds caps System.Flush's drain+flush rounds: each round lets
+// derived-stream answers travel one more hop down a task chain.
+const flushRounds = 8
+
+// ErrFlushNoFixpoint reports that System.Flush stopped after
+// flushRounds rounds while derived-stream answers were still feeding
+// downstream tasks (a task chain deeper than the cap, or a cycle).
+var ErrFlushNoFixpoint = errors.New("core: flush reached no fixpoint")
+
 // Flush drains the runtime (end of replay). With derived streams
 // enabled, flushing a producer may emit answers that feed downstream
-// tasks, so the drain loops to a fixpoint.
+// tasks, so the drain loops to a fixpoint; it returns an error wrapping
+// ErrFlushNoFixpoint when answers are still flowing after flushRounds.
 func (s *System) Flush() error {
-	for round := 0; round < 8; round++ {
+	for round := 0; round < flushRounds; round++ {
 		s.mu.Lock()
 		f := s.feeder
 		s.mu.Unlock()
@@ -580,7 +558,7 @@ func (s *System) Flush() error {
 			return nil
 		}
 	}
-	return s.cluster.Flush()
+	return fmt.Errorf("%w after %d rounds", ErrFlushNoFixpoint, flushRounds)
 }
 
 func (s *System) feedCount() int64 {
@@ -660,12 +638,9 @@ func (s *System) Explain(taskID string, analyze bool) (string, error) {
 	fmt.Fprintf(&sb, "unfold: cqs=%d combinations=%d pruned=%d fleet=%d self_joins_removed=%d unmapped_atoms=%d constraint_pruned=%d fk_joins_removed=%d\n",
 		u.CQs, u.Combinations, u.Pruned, u.FleetSize, u.SelfJoinsRemoved, u.UnmappedAtoms,
 		u.ConstraintPruned, u.FKJoinsRemoved)
-	switch {
-	case task.CompiledHaving():
+	if task.compiled != nil {
 		sb.WriteString("having: compiled matcher\n")
-	case task.Query != nil && task.Query.Having != nil:
-		sb.WriteString("having: interpreted\n")
-	default:
+	} else {
 		sb.WriteString("having: none\n")
 	}
 	fmt.Fprintf(&sb, "bindings: %d\n", len(task.Bindings))

@@ -108,13 +108,13 @@ type ExecContext struct {
 	// Interpret makes operators evaluate expressions with the reference
 	// interpreter (Eval) instead of compiled closures. It exists so the
 	// compiled pipeline can be ablated in benchmarks and bisected when
-	// chasing a miscompilation; production paths leave it false.
+	// chasing a miscompilation; the stream engine never sets it.
 	Interpret bool
 	// Vectorized routes execution through the columnar batch kernels
 	// (vec.go) wherever a subtree supports them; operators without a
-	// kernel fall back to this row path transparently. Off, plans run
-	// tuple-at-a-time exactly as before — that path doubles as the
-	// differential oracle for the kernels.
+	// kernel fall back to this row path transparently. The stream engine
+	// always sets it. Off, plans run tuple-at-a-time — the differential
+	// oracle for the kernels.
 	Vectorized bool
 }
 

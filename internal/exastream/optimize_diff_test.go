@@ -76,6 +76,14 @@ func (a *diffAssets) translate(t *testing.T, prune bool) *starql.Translation {
 // union of its members).
 func runFleet(t *testing.T, a *diffAssets, opts Options, tl *starql.Translation) map[int64]map[string]struct{} {
 	t.Helper()
+	windows, _ := runFleetTicks(t, a, opts, tl, nil)
+	return windows
+}
+
+// runFleetTicks is runFleet with a hook called before every ingested
+// tuple and before the final flush; it also returns the engine stats.
+func runFleetTicks(t *testing.T, a *diffAssets, opts Options, tl *starql.Translation, tick func()) (map[int64]map[string]struct{}, Stats) {
+	t.Helper()
 	e := NewEngine(a.cat, opts)
 	for _, sc := range siemens.StreamSchemas() {
 		if err := e.DeclareStream(sc); err != nil {
@@ -102,14 +110,20 @@ func runFleet(t *testing.T, a *diffAssets, opts Options, tl *starql.Translation)
 		}
 	}
 	for i, el := range a.tuples {
+		if tick != nil {
+			tick()
+		}
 		if err := e.Ingest(siemens.RouteName(a.routes[i]), el); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if tick != nil {
+		tick()
+	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return windows
+	return windows, e.Stats()
 }
 
 // renderWindows serialises the per-window answer sets deterministically
@@ -163,18 +177,29 @@ func TestOptimizedFleetDifferential(t *testing.T) {
 }
 
 // TestOptimizedFleetDifferentialChaos repeats the differential with a
-// wide worker pool and the plan cache disabled so window executions of
-// many fleet members run concurrently — under -race this exercises the
-// StatsStore's concurrent ObserveSource/Feedback/estimate paths.
+// wide worker pool while bumping the catalog generation before every
+// tick, so each tick's window executions rebuild and re-optimize their
+// plans concurrently — under -race this exercises concurrent plan
+// builds and the StatsStore's ObserveSource/Feedback/estimate paths.
 func TestOptimizedFleetDifferentialChaos(t *testing.T) {
 	a := diffSetup(t)
 	plain := a.translate(t, false)
 	pruned := a.translate(t, true)
 
 	want := renderWindows(runFleet(t, a, Options{Parallelism: 8}, plain))
-	got := renderWindows(runFleet(t, a, Options{
-		Optimize: true, Parallelism: 8, DisablePlanCache: true, ShareWindows: true,
-	}, pruned))
+	table, err := a.cat.Get(a.cat.Names()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bump := func() { a.cat.Put(table) } // same table, new generation
+	gotWindows, st := runFleetTicks(t, a, Options{
+		Optimize: true, Parallelism: 8, ShareWindows: true,
+	}, pruned, bump)
+	got := renderWindows(gotWindows)
+	if st.PlanBuilds <= int64(len(pruned.StreamFleet)) {
+		t.Fatalf("PlanBuilds = %d for %d members: no plan was rebuilt after registration",
+			st.PlanBuilds, len(pruned.StreamFleet))
+	}
 	if want == "" {
 		t.Fatal("as-written fleet produced no windows — differential is vacuous")
 	}

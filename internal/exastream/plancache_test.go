@@ -49,9 +49,13 @@ func TestPlanCacheHitSteadyState(t *testing.T) {
 	}
 }
 
-func TestPlanCacheDisabledMatchesCached(t *testing.T) {
-	run := func(opts Options) ([]collected, Stats) {
-		e := testRig(t, opts)
+// TestPlanRebuildMatchesCached: a plan rebuilt for every window — the
+// catalog generation is bumped before each tick, so every cached plan
+// is stale by the time its window runs — must deliver exactly what the
+// steady-state cached plan delivers.
+func TestPlanRebuildMatchesCached(t *testing.T) {
+	run := func(rebuild bool) ([]collected, Stats) {
+		e := testRig(t, Options{})
 		c := &collector{}
 		q := sql.MustParse(`SELECT m.sid, avg(m.val) AS a
 			FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m, sensors AS s
@@ -59,21 +63,40 @@ func TestPlanCacheDisabledMatchesCached(t *testing.T) {
 		if err := e.Register("q", q, nil, c.sink); err != nil {
 			t.Fatal(err)
 		}
-		feed(t, e, 100, 100)
+		sensors, err := e.Catalog().Get("sensors")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			if rebuild {
+				e.Catalog().Put(sensors) // same table, new generation
+			}
+			feedRange(t, e, i, 1, 100)
+		}
+		if rebuild {
+			e.Catalog().Put(sensors)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return append([]collected(nil), c.results...), e.Stats()
 	}
-	cached, cst := run(Options{})
-	rebuilt, rst := run(Options{DisablePlanCache: true})
+	cached, cst := run(false)
+	rebuilt, rst := run(true)
+	if len(cached) == 0 {
+		t.Fatal("no windows delivered; the comparison is vacuous")
+	}
 	if !reflect.DeepEqual(cached, rebuilt) {
 		t.Fatalf("cached and rebuilt runs disagree:\n%v\n%v", cached, rebuilt)
 	}
 	if rst.PlanCacheHits != 0 {
-		t.Errorf("DisablePlanCache hit the cache %d times", rst.PlanCacheHits)
+		t.Errorf("stale plans hit the cache %d times", rst.PlanCacheHits)
 	}
-	if rst.PlanBuilds != rst.WindowsExecuted {
-		t.Errorf("DisablePlanCache: PlanBuilds = %d, want %d", rst.PlanBuilds, rst.WindowsExecuted)
+	if rst.PlanBuilds != rst.WindowsExecuted+1 {
+		t.Errorf("rebuild run: PlanBuilds = %d, want %d (eager build + one per window)",
+			rst.PlanBuilds, rst.WindowsExecuted+1)
 	}
 	if cst.PlanBuilds >= rst.PlanBuilds {
 		t.Errorf("cache did not amortize builds: %d vs %d", cst.PlanBuilds, rst.PlanBuilds)

@@ -5,12 +5,14 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/obda/mapping"
 	"repro/internal/relation"
+	"repro/internal/sql"
 )
 
 // sameSequence compares two sequences state-by-state (nil-vs-empty
-// state slices are equal; the row and columnar builders may differ in
-// that representation only).
+// state slices are equal; the reference and columnar builders may
+// differ in that representation only).
 func sameSequence(a, b *Sequence) bool {
 	if a.Len() != b.Len() {
 		return false
@@ -26,12 +28,30 @@ func sameSequence(a, b *Sequence) bool {
 	return true
 }
 
+// mappingCoolUnless is a stream-sourced class mapping whose source
+// filter, NOT (val > 60), is NULL on a NULL measurement: under SQL
+// three-valued logic such a row asserts nothing.
+func mappingCoolUnless() mapping.Mapping {
+	return mapping.Mapping{
+		ID: "cool", Pred: sieNS + "CoolReading", IsClass: true,
+		Subject: mapping.MustParseTemplate("http://siemens.com/data/sensor/{sid}"),
+		Source: mapping.SourceRef{
+			Table: "S_Msmt", IsStream: true,
+			Where: &sql.UnaryExpr{Op: "NOT", Expr: sql.Bin(">", sql.Col("val"), sql.Lit(relation.Float(60)))},
+		},
+	}
+}
+
 // TestBuildColumnarMatchesBuild is the sequence-builder differential:
 // the columnar build over a window batch must produce exactly the
-// sequence the row build produces, for random batches, subject
-// filters, NULL-bearing rows, and empty windows.
+// sequence the row-at-a-time reference builder (referenceBuild, with
+// engine.Eval filters) produces, for random batches, subject filters,
+// NULL-bearing rows under a NOT filter, and empty windows.
 func TestBuildColumnarMatchesBuild(t *testing.T) {
 	set := testMappings(t)
+	if err := set.set.Add(mappingCoolUnless()); err != nil {
+		t.Fatal(err)
+	}
 	sb, err := NewSequenceBuilder(msmtStreamSchema(), set.set)
 	if err != nil {
 		t.Fatal(err)
@@ -55,16 +75,16 @@ func TestBuildColumnarMatchesBuild(t *testing.T) {
 			batch.Columns() // pre-materialise the shared transpose
 		}
 		subjects := subjectsPool[rng.Intn(len(subjectsPool))]
-		want, err1 := sb.Build(batch, subjects)
+		want, err1 := referenceBuild(sb, batch, subjects)
 		got, err2 := sb.BuildColumnar(batch, subjects)
 		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("trial %d: error disagreement: row=%v columnar=%v", trial, err1, err2)
+			t.Fatalf("trial %d: error disagreement: reference=%v columnar=%v", trial, err1, err2)
 		}
 		if err1 != nil {
 			continue
 		}
 		if !sameSequence(want, got) {
-			t.Fatalf("trial %d: sequences differ\nrow:      %+v\ncolumnar: %+v", trial, want, got)
+			t.Fatalf("trial %d: sequences differ\nreference: %+v\ncolumnar:  %+v", trial, want, got)
 		}
 	}
 }
@@ -81,10 +101,46 @@ func TestBuildColumnarErrorParity(t *testing.T) {
 		row(7, 1000, 70, 0),
 		relation.Tuple{relation.Int(7), relation.Null, relation.Float(70), relation.Int(0)},
 	)
-	if _, err := sb.Build(bad, nil); err == nil {
-		t.Fatal("row build accepted a NULL timestamp")
+	if _, err := referenceBuild(sb, bad, nil); err == nil {
+		t.Fatal("reference build accepted a NULL timestamp")
 	}
 	if _, err := sb.BuildColumnar(bad, nil); err == nil {
 		t.Fatal("columnar build accepted a NULL timestamp")
+	}
+}
+
+// TestMappingFilterNullRejects is the three-valued-logic regression for
+// mapping source filters: with val NULL, NOT (val > 60) is NULL, not
+// TRUE, so the row contributes no CoolReading assertion — the same
+// verdict the unfolded SQL fleet reaches on that row.
+func TestMappingFilterNullRejects(t *testing.T) {
+	set := testMappings(t)
+	if err := set.set.Add(mappingCoolUnless()); err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewSequenceBuilder(msmtStreamSchema(), set.set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nullVal := row(7, 1000, 0, 0)
+	nullVal[2] = relation.Null
+	batch := batchOf(nullVal, row(8, 1000, 50, 0))
+	seq, err := sb.BuildColumnar(batch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cool := sieNS + "CoolReading"
+	if got := seq.States[0].Values("http://siemens.com/data/sensor/7", cool); len(got) != 0 {
+		t.Errorf("NULL measurement asserted %s: %v", cool, got)
+	}
+	if got := seq.States[0].Values("http://siemens.com/data/sensor/8", cool); len(got) != 1 {
+		t.Errorf("val 50 should assert %s once, got %v", cool, got)
+	}
+	ref, err := referenceBuild(sb, batch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSequence(ref, seq) {
+		t.Errorf("reference builder disagrees:\nreference: %+v\ncolumnar:  %+v", ref, seq)
 	}
 }

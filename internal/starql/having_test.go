@@ -241,7 +241,7 @@ func TestSequenceBuilderObjectProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := sb.Build(batchOf(row(7, 1000, 70, 0)), nil)
+	seq, err := sb.BuildColumnar(batchOf(row(7, 1000, 70, 0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,10 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/obda/mapping"
 	"repro/internal/rdf"
 	"repro/internal/relation"
-	"repro/internal/sql"
 	"repro/internal/stream"
 )
 
@@ -61,9 +61,10 @@ type SequenceBuilder struct {
 // columnar build never resolves column names per row.
 type columnPlan struct {
 	m        mapping.Mapping
-	subjCols []int // subject template column ordinals
-	objCols  []int // object template ordinals (object properties)
-	objData  int   // data-property column ordinal, -1 otherwise
+	where    engine.CompiledExpr // source filter, nil without one
+	subjCols []int               // subject template column ordinals
+	objCols  []int               // object template ordinals (object properties)
+	objData  int                 // data-property column ordinal, -1 otherwise
 }
 
 // NewSequenceBuilder selects the stream-sourced mappings relevant to the
@@ -104,71 +105,23 @@ func equalFold(a, b string) bool {
 	return true
 }
 
-// Build constructs the StdSeq sequence of a window batch, restricted to
-// the given subjects (nil means all subjects — used by correlation
-// tasks that scan every sensor).
-func (b *SequenceBuilder) Build(batch stream.Batch, subjects map[string]bool) (*Sequence, error) {
-	byTS := map[int64]*State{}
-	for _, row := range batch.Rows {
-		ts, ok := row[b.tsIdx].AsInt()
-		if !ok {
-			return nil, fmt.Errorf("starql: row without timestamp: %v", row)
-		}
-		st, ok := byTS[ts]
-		if !ok {
-			st = &State{TS: ts, props: map[string]map[string][]relation.Value{}}
-			byTS[ts] = st
-		}
-		for _, m := range b.mappings {
-			// Source-level filter.
-			if m.Source.Where != nil {
-				v, err := evalRowExpr(m.Source.Where, b.schema.Tuple, row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.Truthy() {
-					continue
-				}
-			}
-			subj, err := renderTemplateRow(m.Subject, b.schema.Tuple, row)
-			if err != nil {
-				return nil, err
-			}
-			if subjects != nil && !subjects[subj] {
-				continue
-			}
-			var val relation.Value
-			if m.IsClass {
-				val = relation.Bool_(true)
-			} else {
-				val, err = objectValue(m, b.schema.Tuple, row)
-				if err != nil {
-					return nil, err
-				}
-			}
-			props, ok := st.props[subj]
-			if !ok {
-				props = map[string][]relation.Value{}
-				st.props[subj] = props
-			}
-			props[m.Pred] = append(props[m.Pred], val)
-		}
-	}
-	seq := &Sequence{States: make([]State, 0, len(byTS))}
-	for _, st := range byTS {
-		seq.States = append(seq.States, *st)
-	}
-	sort.Slice(seq.States, func(i, j int) bool { return seq.States[i].TS < seq.States[j].TS })
-	return seq, nil
-}
-
 // columnPlans resolves each mapping's template and object columns to
-// ordinals in the stream schema, once per builder.
+// ordinals in the stream schema and compiles its source filter with the
+// engine's SQL expression compiler, once per builder.
 func (b *SequenceBuilder) columnPlans() ([]columnPlan, error) {
 	b.colOnce.Do(func() {
 		plans := make([]columnPlan, 0, len(b.mappings))
+		funcs := engine.NewFuncRegistry()
 		for _, m := range b.mappings {
 			p := columnPlan{m: m, objData: -1}
+			if m.Source.Where != nil {
+				where, err := engine.Compile(m.Source.Where, b.schema.Tuple, funcs)
+				if err != nil {
+					b.colPlanErr = err
+					return
+				}
+				p.where = where
+			}
 			for _, c := range m.Subject.Columns {
 				idx, err := b.schema.Tuple.IndexOf(c)
 				if err != nil {
@@ -203,13 +156,16 @@ func (b *SequenceBuilder) columnPlans() ([]columnPlan, error) {
 	return b.colPlans, b.colPlanErr
 }
 
-// BuildColumnar constructs the same StdSeq sequence as Build, but from
-// the batch's columnar form: column ordinals are resolved once per
-// builder, timestamps are read from the typed int64 payload when the
-// column is typed, and subject/object IRIs are rendered once per
-// distinct key per window instead of once per row. Iteration stays
-// rows-outer/mappings-inner so per-predicate value order matches Build
-// exactly.
+// BuildColumnar constructs the StdSeq sequence of a window batch,
+// restricted to the given subjects (nil means all subjects — used by
+// correlation tasks that scan every sensor). It reads the batch's
+// columnar form: column ordinals are resolved once per builder,
+// timestamps are read from the typed int64 payload when the column is
+// typed, and subject/object IRIs are rendered once per distinct key per
+// window instead of once per row. Iteration is rows-outer,
+// mappings-inner, so each predicate's values keep row order. A mapping
+// source filter admits a row only when it evaluates to TRUE under SQL
+// three-valued logic.
 func (b *SequenceBuilder) BuildColumnar(batch stream.Batch, subjects map[string]bool) (*Sequence, error) {
 	plans, err := b.columnPlans()
 	if err != nil {
@@ -269,12 +225,12 @@ func (b *SequenceBuilder) BuildColumnar(batch stream.Batch, subjects map[string]
 		}
 		for pi := range plans {
 			p := &plans[pi]
-			if p.m.Source.Where != nil {
-				v, err := evalRowExpr(p.m.Source.Where, b.schema.Tuple, rowAt(i))
+			if p.where != nil {
+				v, err := p.where(rowAt(i))
 				if err != nil {
 					return nil, err
 				}
-				if !v.Truthy() {
+				if !v.Truthy() { // NULL and FALSE both reject
 					continue
 				}
 			}
@@ -339,19 +295,6 @@ func renderColumnar(t mapping.Template, cols []int, cb *relation.ColBatch, i int
 	return r, nil
 }
 
-// renderTemplateRow applies an IRI template to one stream row.
-func renderTemplateRow(t mapping.Template, schema relation.Schema, row relation.Tuple) (string, error) {
-	segs := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		idx, err := schema.IndexOf(c)
-		if err != nil {
-			return "", err
-		}
-		segs[i] = rawString(row[idx])
-	}
-	return t.Render(segs)
-}
-
 func rawString(v relation.Value) string {
 	switch v.Type {
 	case relation.TString:
@@ -362,95 +305,6 @@ func rawString(v relation.Value) string {
 			return s[1 : len(s)-1]
 		}
 		return s
-	}
-}
-
-// objectValue extracts a property mapping's object from a row: the raw
-// column for data properties, the rendered IRI for object properties.
-func objectValue(m mapping.Mapping, schema relation.Schema, row relation.Tuple) (relation.Value, error) {
-	if m.ObjectIsData {
-		idx, err := schema.IndexOf(m.Object.Columns[0])
-		if err != nil {
-			return relation.Null, err
-		}
-		return row[idx], nil
-	}
-	iri, err := renderTemplateRow(m.Object, schema, row)
-	if err != nil {
-		return relation.Null, err
-	}
-	return relation.String_(iri), nil
-}
-
-// evalRowExpr evaluates a mapping source filter against one row without
-// needing the full engine context.
-func evalRowExpr(e sql.Expr, schema relation.Schema, row relation.Tuple) (relation.Value, error) {
-	return rowEval{schema, row}.eval(e)
-}
-
-type rowEval struct {
-	schema relation.Schema
-	row    relation.Tuple
-}
-
-func (r rowEval) eval(e sql.Expr) (relation.Value, error) {
-	switch x := e.(type) {
-	case *sql.Literal:
-		return x.Value, nil
-	case *sql.ColumnRef:
-		idx, err := r.schema.IndexOf(x.Name)
-		if err != nil {
-			return relation.Null, err
-		}
-		return r.row[idx], nil
-	case *sql.BinaryExpr:
-		l, err := r.eval(x.Left)
-		if err != nil {
-			return relation.Null, err
-		}
-		rt, err := r.eval(x.Right)
-		if err != nil {
-			return relation.Null, err
-		}
-		switch x.Op {
-		case "AND":
-			return relation.Bool_(l.Truthy() && rt.Truthy()), nil
-		case "OR":
-			return relation.Bool_(l.Truthy() || rt.Truthy()), nil
-		case "+", "-", "*", "/", "%":
-			return relation.Arith(x.Op[0], l, rt)
-		default:
-			c, ok := relation.Compare(l, rt)
-			if !ok || l.IsNull() || rt.IsNull() {
-				return relation.Bool_(false), nil
-			}
-			switch x.Op {
-			case "=":
-				return relation.Bool_(c == 0), nil
-			case "<>":
-				return relation.Bool_(c != 0), nil
-			case "<":
-				return relation.Bool_(c < 0), nil
-			case "<=":
-				return relation.Bool_(c <= 0), nil
-			case ">":
-				return relation.Bool_(c > 0), nil
-			case ">=":
-				return relation.Bool_(c >= 0), nil
-			}
-			return relation.Null, fmt.Errorf("starql: unsupported operator %q in mapping filter", x.Op)
-		}
-	case *sql.UnaryExpr:
-		v, err := r.eval(x.Expr)
-		if err != nil {
-			return relation.Null, err
-		}
-		if x.Op == "NOT" {
-			return relation.Bool_(!v.Truthy()), nil
-		}
-		return relation.Null, fmt.Errorf("starql: unsupported unary %q in mapping filter", x.Op)
-	default:
-		return relation.Null, fmt.Errorf("starql: unsupported expression %T in mapping filter", e)
 	}
 }
 

@@ -222,7 +222,7 @@ func TestSequenceBuilderStdSeq(t *testing.T) {
 		row(8, 1000, 50, 0),
 		row(7, 2000, 72, 0), // second measurement at same ts -> same state
 	)
-	seq, err := sb.Build(batch, nil)
+	seq, err := sb.BuildColumnar(batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestSequenceBuilderStdSeq(t *testing.T) {
 		t.Fatalf("values at state 2 = %v", vals)
 	}
 	// Subject filter restricts.
-	seq2, err := sb.Build(batch, map[string]bool{s7: true})
+	seq2, err := sb.BuildColumnar(batch, map[string]bool{s7: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestFigure1HavingDetectsMonotonicRamp(t *testing.T) {
 		row(7, 3000, 75, 0),
 		row(7, 4000, 90, 1), // failure state
 	)
-	seq, err := sb.Build(ramp, nil)
+	seq, err := sb.BuildColumnar(ramp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestFigure1HavingDetectsMonotonicRamp(t *testing.T) {
 		row(7, 3000, 75, 0),
 		row(7, 4000, 90, 1),
 	)
-	seq, err = sb.Build(dip, nil)
+	seq, err = sb.BuildColumnar(dip, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestFigure1HavingDetectsMonotonicRamp(t *testing.T) {
 		row(7, 2000, 72, 0),
 		row(7, 3000, 75, 0),
 	)
-	seq, err = sb.Build(noFail, nil)
+	seq, err = sb.BuildColumnar(noFail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestFigure1HavingDetectsMonotonicRamp(t *testing.T) {
 		row(7, 3000, 90, 1), // failure
 		row(7, 4000, 10, 0), // dip afterwards
 	)
-	seq, err = sb.Build(dipAfter, nil)
+	seq, err = sb.BuildColumnar(dipAfter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestBuiltinAggregates(t *testing.T) {
 		row(7, 3000, 14, 0), row(8, 3000, 28, 0),
 		row(7, 4000, 16, 0), row(8, 4000, 32, 0),
 	)
-	seq, err := sb.Build(batch, nil)
+	seq, err := sb.BuildColumnar(batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

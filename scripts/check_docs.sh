@@ -11,7 +11,10 @@
 #   3. every `BenchmarkXxx` name the docs cite must exist in a
 #      *_test.go file;
 #   4. the race-detector package list in ROADMAP.md's "Concurrency
-#      verify" recipe must match the one CI actually runs.
+#      verify" recipe must match the one CI actually runs;
+#   5. every `-run` / `-bench` pattern on a `go test` line in ci.yml
+#      must select at least one test / benchmark in its packages (a
+#      stale pattern otherwise passes silently with "no tests to run").
 set -u
 
 DOCS="README.md EXPERIMENTS.md docs/starql.md docs/recovery.md docs/governance.md docs/vectorized.md docs/observability.md docs/planner.md docs/transport.md"
@@ -88,8 +91,56 @@ elif [ "$roadmap_race" != "$ci_race" ]; then
 	fail=1
 fi
 
+# ---- 5: CI test patterns select something ----
+
+# `go test -list` reports top-level names only, so a pattern's first
+# level is listed in its packages; deeper levels (sub-tests and
+# sub-benchmarks) must match a t.Run/b.Run name segment.
+sub_names=$(grep -rhoE '[bt]\.Run\("[^"]+"' --include='*_test.go' . |
+	sed 's/^[bt]\.Run("//; s/"$//' | tr '/' '\n' | sort -u)
+ci_patterns=0
+while IFS= read -r line; do
+	[ -z "$line" ] && continue
+	cmd=${line#*go test }
+	pkgs=$(printf '%s\n' "$cmd" | grep -oE '(^| )\.(/[A-Za-z0-9_./-]*)?( |$)' | tr -d ' ')
+	for kind in run bench; do
+		pat=$(printf '%s\n' "$cmd" | sed -nE "s/.*-$kind '([^']*)'.*/\1/p")
+		[ -z "$pat" ] && pat=$(printf '%s\n' "$cmd" | sed -nE "s/.*-$kind ([^ ']+).*/\1/p")
+		if [ -z "$pat" ] || [ "$pat" = '^$' ]; then
+			continue
+		fi
+		ci_patterns=$((ci_patterns + 1))
+		prefix='^(Test|Example|Fuzz)'
+		[ "$kind" = bench ] && prefix='^Benchmark'
+		# shellcheck disable=SC2086 # pkgs is a word list
+		listed=$(go test -list "${pat%%/*}" $pkgs 2>&1 | grep -E "$prefix" || true)
+		if [ -z "$listed" ]; then
+			echo "ci.yml: -$kind '$pat' lists nothing in ${pkgs:-.}" >&2
+			fail=1
+			continue
+		fi
+		rest=${pat#*/}
+		[ "$rest" = "$pat" ] && continue
+		while :; do
+			seg=${rest%%/*}
+			if ! printf '%s\n' "$sub_names" | grep -qE -- "$seg"; then
+				echo "ci.yml: -$kind '$pat': no t.Run/b.Run name matches '$seg'" >&2
+				fail=1
+			fi
+			[ "$seg" = "$rest" ] && break
+			rest=${rest#*/}
+		done
+	done
+done <<EOF
+$(grep -E '^[[:space:]]*(run: )?go test ' .github/workflows/ci.yml)
+EOF
+if [ "$ci_patterns" -eq 0 ]; then
+	echo "check_docs: found no -run/-bench patterns in ci.yml" >&2
+	fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
 	echo "check_docs: FAILED — docs reference interfaces the tools don't report" >&2
 	exit 1
 fi
-echo "check_docs: OK ($(printf '%s\n' "$known_flags" | wc -l) flags, $(printf '%s\n' "$known_exps" | wc -l) experiments, $(printf '%s\n' "$bench_defs" | wc -l) benchmarks)"
+echo "check_docs: OK ($(printf '%s\n' "$known_flags" | wc -l) flags, $(printf '%s\n' "$known_exps" | wc -l) experiments, $(printf '%s\n' "$bench_defs" | wc -l) benchmarks, $ci_patterns CI test patterns)"
