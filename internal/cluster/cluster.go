@@ -208,7 +208,7 @@ type queryRecord struct {
 	id     string
 	stmt   *sql.SelectStmt
 	pulse  *stream.Pulse
-	sink   exastream.Sink
+	sink   exastream.ResultSink
 	node   int
 	budget int64  // admitted window-state byte budget (0 = unenforced)
 	tenant string // TenantOf(id), for quota release
@@ -258,15 +258,15 @@ type Node struct {
 	// suspicion must not re-fail a node the supervisor already handled.
 	failingOver bool
 
-	state    int32 // NodeState
-	queries  int32
-	tuples   int64
+	state   int32 // NodeState
+	queries int32
+	tuples  int64
 	// budgetUsed sums the admitted budgets of queries placed on this
 	// node (guarded by Cluster.mu); NodeMemBudget caps it.
 	budgetUsed int64
-	restarts int32
-	dropped  int64
-	requeued int64
+	restarts   int32
+	dropped    int64
+	requeued   int64
 
 	errs errorRing
 }
@@ -494,6 +494,12 @@ type RegisterOptions struct {
 // headroom (ErrOverBudget when nothing fits), and the admitted budget
 // follows the query through restarts and failovers.
 func (c *Cluster) RegisterWith(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink exastream.Sink, ro RegisterOptions) (int, error) {
+	return c.RegisterResults(id, stmt, pulse, sink.Results(), ro)
+}
+
+// RegisterResults is RegisterWith with a sink that receives each
+// window's engine.Result instead of rows (see exastream.ResultSink).
+func (c *Cluster) RegisterResults(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink exastream.ResultSink, ro RegisterOptions) (int, error) {
 	tenant := TenantOf(id)
 	if err := c.gov.admitRegister(tenant); err != nil {
 		c.frec.Record(telemetry.EvAdmissionReject, id, tenant, 0, 0)
@@ -506,7 +512,7 @@ func (c *Cluster) RegisterWith(id string, stmt *sql.SelectStmt, pulse *stream.Pu
 	return node, err
 }
 
-func (c *Cluster) registerAdmitted(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink exastream.Sink, ro RegisterOptions, tenant string) (int, error) {
+func (c *Cluster) registerAdmitted(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink exastream.ResultSink, ro RegisterOptions, tenant string) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -529,7 +535,7 @@ func (c *Cluster) registerAdmitted(id string, stmt *sql.SelectStmt, pulse *strea
 		return -1, ErrOverBudget
 	}
 	sink = c.guardedSink(id, sink)
-	if err := c.nodes[node].engine.Register(id, stmt, pulse, sink); err != nil {
+	if err := c.nodes[node].engine.RegisterResults(id, stmt, pulse, sink); err != nil {
 		return -1, err
 	}
 	if budget > 0 {
@@ -577,7 +583,7 @@ func (c *Cluster) Unregister(id string) error {
 // survives the hosting node). The optional AfterEmit fault hook fires
 // after each delivered window — the crash-after-emit-before-ack
 // injection point.
-func (c *Cluster) guardedSink(id string, sink exastream.Sink) exastream.Sink {
+func (c *Cluster) guardedSink(id string, sink exastream.ResultSink) exastream.ResultSink {
 	if c.rec == nil || sink == nil {
 		return sink
 	}
@@ -585,7 +591,7 @@ func (c *Cluster) guardedSink(id string, sink exastream.Sink) exastream.Sink {
 	if f, ok := c.opts.Faults.(EmitFaultInjector); ok {
 		after = f.AfterEmit
 	}
-	return exastream.Sink(c.rec.Gate().Wrap(id, recovery.Sink(sink), after))
+	return exastream.ResultSink(c.rec.Gate().Wrap(id, recovery.Sink(sink), after))
 }
 
 // Resume lifts the quarantine of a suspended query so it executes

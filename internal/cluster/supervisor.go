@@ -264,7 +264,7 @@ func (c *Cluster) rebuildNode(n *Node) bool {
 		if rec.node != n.ID {
 			continue
 		}
-		if err := eng.Register(rec.id, rec.stmt, rec.pulse, rec.sink); err != nil {
+		if err := eng.RegisterResults(rec.id, rec.stmt, rec.pulse, rec.sink); err != nil {
 			n.noteErr(NodeError{Node: n.ID, QueryID: rec.id,
 				Err: fmt.Errorf("cluster: node %d: re-register %s: %w", n.ID, rec.id, err)})
 			continue
@@ -317,7 +317,7 @@ func (c *Cluster) failover(n *Node) {
 			c.gov.releaseQuery(rec.tenant)
 			continue
 		}
-		if err := c.nodes[target].engine.Register(rec.id, rec.stmt, rec.pulse, rec.sink); err != nil {
+		if err := c.nodes[target].engine.RegisterResults(rec.id, rec.stmt, rec.pulse, rec.sink); err != nil {
 			n.noteErr(NodeError{Node: n.ID, QueryID: rec.id,
 				Err: fmt.Errorf("cluster: failover of %s to node %d: %w", rec.id, target, err)})
 			delete(c.queries, rec.id)

@@ -119,7 +119,8 @@ func TestCompiledHavingAlertParity(t *testing.T) {
 }
 
 // TestHavingTelemetry: the HAVING stage reports matcher evaluations,
-// matches, compiled-program count, and per-window latency.
+// matches, compiled-program count, and per-window latency; sequence
+// build reports its own per-window latency.
 func TestHavingTelemetry(t *testing.T) {
 	sys, gen := deployWith(t, Config{Nodes: 1})
 	spec, _ := siemens.TaskByID("T01_mon_temperature")
@@ -144,6 +145,9 @@ func TestHavingTelemetry(t *testing.T) {
 	h, ok := snap.Histograms["starql.having.window_ns"]
 	if !ok || h.Count == 0 {
 		t.Errorf("window_ns histogram missing or empty: %+v", h)
+	}
+	if sb, ok := snap.Histograms["starql.seqbuild.window_ns"]; !ok || sb.Count == 0 {
+		t.Errorf("seqbuild.window_ns histogram missing or empty: %+v", sb)
 	}
 	var alerts int
 	log.mu.Lock()

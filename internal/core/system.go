@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/exastream"
 	"repro/internal/obda/mapping"
 	"repro/internal/ontology"
@@ -125,12 +126,17 @@ type System struct {
 	reg    *telemetry.Registry // system-level metrics (translation stages)
 	tracer *telemetry.Tracer   // one trace per task: rewrite → unfold → register → window-exec
 
-	// HAVING-stage instruments, resolved once (hot path: one atomic op
-	// per site). window_ns is the whole per-window HAVING stage.
+	// Window-sink instruments, resolved once (hot path: one atomic op
+	// per site). The window_ns histograms time the whole per-window
+	// sequence-build and HAVING stages; sinkErrors counts windows or
+	// bindings dropped because the sequence build or a HAVING
+	// evaluation failed.
 	havingEvals    *telemetry.Counter
 	havingMatches  *telemetry.Counter
 	havingCompiled *telemetry.Counter
 	havingNS       *telemetry.Histogram
+	seqBuildNS     *telemetry.Histogram
+	sinkErrors     *telemetry.Counter
 
 	mu       sync.Mutex
 	streams  map[string]stream.Schema
@@ -225,18 +231,20 @@ func NewSystem(cfg Config, tbox *ontology.TBox, set *mapping.Set, catalog *relat
 		havingMatches:  reg.Counter("starql.having.matches"),
 		havingCompiled: reg.Counter("starql.having.compiled"),
 		havingNS:       reg.Histogram("starql.having.window_ns", telemetry.LatencyBuckets),
-		cfg:        cfg,
-		tbox:       tbox,
-		mappings:   set,
-		catalog:    catalog,
-		cluster:    cl,
-		translator: translator,
-		reg:        reg,
-		tracer:     tracer,
-		streams:    make(map[string]stream.Schema),
-		builders:   make(map[string]*starql.SequenceBuilder),
-		tasks:      make(map[string]*Task),
-		derived:    make(map[string]string),
+		seqBuildNS:     reg.Histogram("starql.seqbuild.window_ns", telemetry.LatencyBuckets),
+		sinkErrors:     reg.Counter("starql.sink.errors"),
+		cfg:            cfg,
+		tbox:           tbox,
+		mappings:       set,
+		catalog:        catalog,
+		cluster:        cl,
+		translator:     translator,
+		reg:            reg,
+		tracer:         tracer,
+		streams:        make(map[string]stream.Schema),
+		builders:       make(map[string]*starql.SequenceBuilder),
+		tasks:          make(map[string]*Task),
+		derived:        make(map[string]string),
 	}, nil
 }
 
@@ -366,7 +374,7 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 		rspan.SetAttr("mem_class", analysis.Class.String()).
 			SetAttr("mem_budget", budget)
 	}
-	node, err := s.cluster.RegisterWith(id, stmt, tl.Pulse, s.windowSink(task, builder), cluster.RegisterOptions{Budget: budget})
+	node, err := s.cluster.RegisterResults(id, stmt, tl.Pulse, s.windowSink(task, builder), cluster.RegisterOptions{Budget: budget})
 	if err != nil {
 		rspan.SetAttr("error", err.Error())
 		rspan.End()
@@ -386,20 +394,27 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 }
 
 // windowSink adapts ExaStream window results into STARQL semantics:
-// build the StdSeq sequence, evaluate HAVING per binding, emit CONSTRUCT
-// triples.
-func (s *System) windowSink(task *Task, builder *starql.SequenceBuilder) exastream.Sink {
-	return func(_ string, windowEnd int64, _ relation.Schema, rows []relation.Tuple) {
+// build the StdSeq sequence straight from the result's column vectors
+// (for the task's SELECT * these are the window's shared transpose),
+// evaluate HAVING per binding, emit CONSTRUCT triples.
+func (s *System) windowSink(task *Task, builder *starql.SequenceBuilder) exastream.ResultSink {
+	return func(_ string, windowEnd int64, _ relation.Schema, res engine.Result) {
 		atomic.AddInt64(&task.windows, 1)
-		if len(rows) == 0 {
+		if res.Len() == 0 {
 			return
 		}
 		subjects := task.subjects
 		if len(subjects) == 0 {
 			subjects = nil
 		}
-		seq, err := builder.BuildColumnar(stream.Batch{End: windowEnd, Rows: rows}, subjects)
-		if err != nil || seq.Len() == 0 {
+		bstart := time.Now()
+		seq, err := builder.BuildColumns(res.Columns(), subjects)
+		s.seqBuildNS.ObserveDuration(time.Since(bstart))
+		if err != nil {
+			s.sinkErrors.Inc()
+			return
+		}
+		if seq.Len() == 0 {
 			return
 		}
 		var triples []rdf.Triple
@@ -411,7 +426,11 @@ func (s *System) windowSink(task *Task, builder *starql.SequenceBuilder) exastre
 			if task.compiled != nil {
 				ok, err := task.compiled.Eval(seq, binding)
 				s.havingEvals.Inc()
-				if err != nil || !ok {
+				if err != nil {
+					s.sinkErrors.Inc()
+					continue
+				}
+				if !ok {
 					continue
 				}
 				s.havingMatches.Inc()

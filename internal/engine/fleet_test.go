@@ -176,7 +176,11 @@ func (ex fleetExec) run(ctx *engine.ExecContext, columns bool) ([]relation.Tuple
 			src.BindColumns(ex.batches[i].Columns())
 		}
 	}
-	return engine.ExecutePlan(ctx, ex.m.plan)
+	res, err := engine.ExecutePlan(ctx, ex.m.plan)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows(), nil
 }
 
 // TestExplainAnalyzeMatchesRowPathOracle runs every Figure 1 fleet

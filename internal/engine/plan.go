@@ -51,7 +51,8 @@ type OpCounters struct {
 	Calls   int64 // Execute invocations
 	RowsOut int64 // rows returned by this operator kind
 	// WallNS is inclusive wall time spent evaluating operators of this
-	// kind (children included), measured at the execChild boundary.
+	// kind (children included), measured around each top-level and
+	// child execution (materializing a row boundary is not included).
 	// Inside a fused vectorized subtree only the subtree root is
 	// timed; interior kernels report under the root's kind.
 	WallNS int64

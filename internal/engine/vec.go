@@ -31,10 +31,12 @@ import (
 // stream engine's per-query execMu), exactly like Bind and the lazy
 // compiled-flag writes on the row path. Kernels exploit this by keeping
 // per-node scratch buffers (vecBufs, FilterPlan.keep, the window
-// source's frame) that are overwritten on the next execution; their
-// outputs are always consumed — materialized or reduced — before the
-// execution returns. The *input* vectors of a shared window batch are
-// read-only and safely shared across concurrently executing queries.
+// source's frame) that are overwritten on the next execution. Inside a
+// plan, their outputs are consumed — materialized or reduced — before
+// the execution returns; the root's output is handed out as a Result,
+// valid until the plan's next execution. The *input* vectors of a
+// shared window batch are read-only and safely shared across
+// concurrently executing queries.
 
 // vecFrame is a columnar intermediate result: column vectors of logical
 // length n plus an optional selection bitmap (nil = every row selected).
@@ -121,15 +123,31 @@ func (f *vecFrame) materialize() []relation.Tuple {
 	}
 	var idxs []int
 	if f.sel != nil {
-		idxs = make([]int, 0, cnt)
-		for i := f.sel.Next(0); i >= 0; i = f.sel.Next(i + 1) {
-			idxs = append(idxs, i)
-		}
+		idxs = selIndexes(f.sel, cnt)
 	}
 	for j, c := range f.cols {
 		fillColumn(backing, j, ncols, c, f.n, idxs)
 	}
 	return out
+}
+
+// gather copies the frame's selected rows into fresh dense vectors.
+func (f *vecFrame) gather() *relation.ColBatch {
+	idxs := selIndexes(f.sel, f.count())
+	cols := make([]*relation.Vector, len(f.cols))
+	for j, c := range f.cols {
+		cols[j] = c.Gather(idxs)
+	}
+	return relation.NewColBatch(cols, len(idxs))
+}
+
+// selIndexes lists the cnt set positions of sel in ascending order.
+func selIndexes(sel *relation.Bitmap, cnt int) []int {
+	idxs := make([]int, 0, cnt)
+	for i := sel.Next(0); i >= 0; i = sel.Next(i + 1) {
+		idxs = append(idxs, i)
+	}
+	return idxs
 }
 
 // fillColumn writes column j of the materialised frame: slot k of the
@@ -258,38 +276,88 @@ func canVectorize(p Plan) bool {
 	}
 }
 
-// execChild evaluates a child plan: columnar when the context asks for
-// it and the subtree has kernels, the ordinary row path otherwise. Row
-// operators call it in place of child.Execute so a vectorizable subtree
-// below a row-only operator still runs columnar. It also charges the
-// subtree's inclusive wall time to the node's operator kind — the
-// "eval ns" column of EXPLAIN ANALYZE (two clock reads per operator
-// per window; windows are µs-scale, so the cost is noise).
+// execChild evaluates a child plan for a row operator, materialized to
+// tuples. Row operators call it in place of child.Execute so a
+// vectorizable subtree below a row-only operator still runs columnar.
 func execChild(ctx *ExecContext, p Plan) ([]relation.Tuple, error) {
-	start := time.Now()
-	rows, err := execChildUntimed(ctx, p)
-	if k := kindOf(p); k >= 0 {
-		ctx.Stats.Ops[k].WallNS += int64(time.Since(start))
+	r, err := ExecutePlan(ctx, p)
+	if err != nil {
+		return nil, err
 	}
-	return rows, err
-}
-
-func execChildUntimed(ctx *ExecContext, p Plan) ([]relation.Tuple, error) {
-	if ctx.Vectorized && canVectorize(p) {
-		f, err := p.(vecPlan).executeVec(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return f.materialize(), nil
-	}
-	return p.Execute(ctx)
+	return r.Rows(), nil
 }
 
 // ExecutePlan is the engine's top-level entry point: it picks the
-// columnar path when ctx.Vectorized is set and the plan supports it,
-// and the tuple-at-a-time path otherwise.
-func ExecutePlan(ctx *ExecContext, p Plan) ([]relation.Tuple, error) {
-	return execChild(ctx, p)
+// columnar path when ctx.Vectorized is set and the whole plan has
+// kernels, and the tuple-at-a-time path otherwise. The Result keeps
+// whichever layout the plan's root produced. It also charges the
+// plan's inclusive wall time to the root's operator kind — the "eval
+// ns" column of EXPLAIN ANALYZE (two clock reads per operator per
+// window; windows are µs-scale, so the cost is noise).
+func ExecutePlan(ctx *ExecContext, p Plan) (Result, error) {
+	start := time.Now()
+	var r Result
+	var err error
+	if ctx.Vectorized && canVectorize(p) {
+		r.frame, err = p.(vecPlan).executeVec(ctx)
+	} else {
+		r.rows, err = p.Execute(ctx)
+	}
+	if k := kindOf(p); k >= 0 {
+		ctx.Stats.Ops[k].WallNS += int64(time.Since(start))
+	}
+	return r, err
+}
+
+// Result is the output of one plan execution, read either as columns or
+// as rows. It is a small header passed by value, so handing it to a
+// sink allocates nothing. A vectorized execution keeps the root's
+// frame: its columns may alias per-plan scratch buffers and the input
+// window's shared vectors, so the Result is valid only until the plan
+// executes again — for a continuous query, the duration of the sink
+// call, which runs under the query's execution lock. Neither view may
+// be modified.
+type Result struct {
+	frame *vecFrame        // root frame of a vectorized execution
+	rows  []relation.Tuple // row-path result, or the materialized frame
+	cols  *relation.ColBatch
+}
+
+// Len returns the number of result rows.
+func (r *Result) Len() int {
+	if r.frame != nil {
+		return r.frame.count()
+	}
+	return len(r.rows)
+}
+
+// Columns returns the result in columnar form. Without a selection
+// these are the root frame's own vectors — for a plain projection of a
+// window, the window's shared transpose, uncopied; with a selection the
+// selected rows are gathered once. A row-path result is transposed
+// once.
+func (r *Result) Columns() *relation.ColBatch {
+	if r.cols == nil {
+		switch {
+		case r.frame == nil:
+			r.cols = relation.Transpose(r.rows)
+		case r.frame.sel == nil:
+			r.cols = relation.NewColBatch(r.frame.cols, r.frame.n)
+		default:
+			r.cols = r.frame.gather()
+		}
+	}
+	return r.cols
+}
+
+// Rows returns the result as tuples, materializing a vectorized result
+// once. Unlike Columns, the tuples stay valid after the plan executes
+// again.
+func (r *Result) Rows() []relation.Tuple {
+	if r.rows == nil && r.frame != nil {
+		r.rows = r.frame.materialize()
+	}
+	return r.rows
 }
 
 // execVecChild runs a child already known (via canVectorize) to have a

@@ -155,8 +155,31 @@ func diffExec(t *testing.T, cat *relation.Catalog, plan Plan, label string) {
 	if rowErr != nil {
 		return
 	}
-	if !sameMultiset(rowRes, vecRes) {
-		t.Fatalf("%s: results differ\nrow: %v\nvec: %v\nplan:\n%s", label, rowRes, vecRes, Explain(plan))
+	sameViews(t, label+" (row path)", rowRes)
+	sameViews(t, label+" (vectorized)", vecRes)
+	if !sameMultiset(rowRes.Rows(), vecRes.Rows()) {
+		t.Fatalf("%s: results differ\nrow: %v\nvec: %v\nplan:\n%s", label, rowRes.Rows(), vecRes.Rows(), Explain(plan))
+	}
+}
+
+// sameViews requires a Result's columnar view to hold exactly its rows,
+// in order: the selection gather (or the row-path transpose) against
+// the materialization, empty and all-filtered results included.
+func sameViews(t *testing.T, label string, res Result) {
+	t.Helper()
+	cb, rows := res.Columns(), res.Rows()
+	if cb.Len() != len(rows) || res.Len() != len(rows) {
+		t.Fatalf("%s: columns hold %d rows, Len %d, rows %d", label, cb.Len(), res.Len(), len(rows))
+	}
+	for i, row := range rows {
+		if cb.Arity() != len(row) {
+			t.Fatalf("%s: columns arity %d, row arity %d", label, cb.Arity(), len(row))
+		}
+		for j, want := range row {
+			if got := cb.Col(j).Value(i); got != want {
+				t.Fatalf("%s: column %d row %d = %v, want %v", label, j, i, got, want)
+			}
+		}
 	}
 }
 
@@ -272,8 +295,8 @@ func TestVectorizedEdgeBatches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if len(got) != c.want {
-			t.Errorf("%s: got %d rows, want %d: %v", c.name, len(got), c.want, got)
+		if got.Len() != c.want {
+			t.Errorf("%s: got %d rows, want %d: %v", c.name, got.Len(), c.want, got.Rows())
 		}
 		diffExec(t, cat, plan, c.name)
 	}
@@ -317,10 +340,12 @@ func TestVectorizedSharedWindowRace(t *testing.T) {
 			for iter := 0; iter < 100; iter++ {
 				wsp.Bind(rows)
 				wsp.BindColumns(cb)
-				if _, err := ExecutePlan(ctx, plan); err != nil {
+				res, err := ExecutePlan(ctx, plan)
+				if err != nil {
 					errs[g] = err
 					return
 				}
+				res.Columns() // gathers from the shared vectors
 			}
 		}(g)
 	}

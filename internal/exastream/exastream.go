@@ -29,6 +29,25 @@ import (
 // query. Implementations must be safe for concurrent use.
 type Sink func(queryID string, windowEnd int64, schema relation.Schema, rows []relation.Tuple)
 
+// ResultSink receives one window evaluation of a registered query as the
+// engine produced it, readable as columns or rows. The result is valid
+// only for the duration of the call (which runs under the query's
+// execution lock) and must not be modified or retained; copy what must
+// outlive it. Implementations must be safe for concurrent use.
+type ResultSink func(queryID string, windowEnd int64, schema relation.Schema, res engine.Result)
+
+// Results adapts a row sink to the engine's result hand-off: each
+// window's result is materialized into tuples once. A nil sink adapts
+// to nil.
+func (s Sink) Results() ResultSink {
+	if s == nil {
+		return nil
+	}
+	return func(queryID string, windowEnd int64, schema relation.Schema, res engine.Result) {
+		s(queryID, windowEnd, schema, res.Rows())
+	}
+}
+
 // Stats aggregates engine-level counters.
 type Stats struct {
 	TuplesIn        int64
@@ -271,7 +290,7 @@ type continuousQuery struct {
 	refs  []*sql.TableRef // stream references, in discovery order
 	specs []stream.WindowSpec
 	pulse *stream.Pulse
-	sink  Sink
+	sink  ResultSink
 
 	// private marks a checkpoint-restored query: its windows are owned
 	// (keyed by query id, not shared) and appliedSeq filters re-delivered
@@ -411,11 +430,18 @@ func (e *Engine) StreamSchema(name string) (stream.Schema, error) {
 	return s, nil
 }
 
-// Register adds a continuous query. The statement's stream references
-// must carry window specs with a common slide; the optional pulse paces
-// output. Register returns an error for unknown streams or invalid
-// windows.
+// Register adds a continuous query whose window results reach sink as
+// rows. The statement's stream references must carry window specs with
+// a common slide; the optional pulse paces output. Register returns an
+// error for unknown streams or invalid windows.
 func (e *Engine) Register(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink Sink) error {
+	return e.RegisterResults(id, stmt, pulse, sink.Results())
+}
+
+// RegisterResults is Register with a sink that receives each window's
+// engine.Result directly, so a columnar consumer reads the engine's
+// column vectors without a row round trip.
+func (e *Engine) RegisterResults(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink ResultSink) error {
 	if pulse != nil {
 		if err := pulse.Validate(); err != nil {
 			return err
@@ -531,6 +557,9 @@ func (e *Engine) Unregister(id string) error {
 				kept = append(kept, s)
 			}
 		}
+		// Clear the vacated tail: a stale slot would keep the removed
+		// query, and through it its sink, reachable.
+		clear(sw.subs[len(kept):])
 		sw.subs = kept
 	}
 	return nil
@@ -923,7 +952,7 @@ func (e *Engine) executeItem(it execItem) error {
 		q.execCtx = ctx
 	}
 	*ctx = engine.ExecContext{Catalog: e.catalog, Funcs: e.funcs, Vectorized: true}
-	rows, err := engine.ExecutePlan(ctx, cp.adapted)
+	res, err := engine.ExecutePlan(ctx, cp.adapted)
 	e.met.rowsScanned.Add(ctx.Stats.RowsScanned)
 	e.met.rowsProduced.Add(ctx.Stats.RowsProduced)
 	e.met.hashProbes.Add(ctx.Stats.HashProbes)
@@ -940,11 +969,12 @@ func (e *Engine) executeItem(it execItem) error {
 	q.failures = 0
 	q.mu.Unlock()
 	e.noteProbes(cp.probes)
+	rowsOut := res.Len()
 	q.windows++
-	q.rowsOutTotal += int64(len(rows))
+	q.rowsOutTotal += int64(rowsOut)
 	q.lastEnd = it.end
 	e.met.windowsExecuted.Inc()
-	e.met.rowsOut.Add(int64(len(rows)))
+	e.met.rowsOut.Add(int64(rowsOut))
 	e.wcache.Advance(q.id, it.end)
 	elapsed := time.Since(start)
 	e.met.windowExecNS.ObserveDuration(elapsed)
@@ -954,13 +984,13 @@ func (e *Engine) executeItem(it execItem) error {
 		e.met.watermarkLag.Set(float64(lag))
 	}
 	span.SetAttr("rows_in", rowsIn).
-		SetAttr("rows_out", len(rows)).
+		SetAttr("rows_out", rowsOut).
 		SetAttr("plan_cache_hit", cacheHit).
 		SetAttr("wall_ns", elapsed.Nanoseconds())
 	span.End()
 	e.opts.Recorder.Record(telemetry.EvWindowExec, q.id, "", it.end, elapsed.Nanoseconds())
 	if q.sink != nil {
-		q.sink(q.id, it.end, cp.adapted.Schema(), rows)
+		q.sink(q.id, it.end, cp.adapted.Schema(), res)
 	}
 	return nil
 }

@@ -103,7 +103,7 @@ func deepCopyBatch(b stream.Batch) stream.Batch {
 // and any overlap with live traffic — idempotent. A nil QueryState
 // restores with fresh windows (checkpoint predates the query), cursored
 // at the node's cut so replay still covers the gap.
-func (e *Engine) RestoreQuery(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink Sink, st *recovery.QueryState, cursors map[string]int64) error {
+func (e *Engine) RestoreQuery(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink ResultSink, st *recovery.QueryState, cursors map[string]int64) error {
 	if pulse != nil {
 		if err := pulse.Validate(); err != nil {
 			return err

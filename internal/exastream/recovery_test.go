@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/recovery"
 	"repro/internal/relation"
 	"repro/internal/sql"
@@ -72,7 +73,7 @@ func TestExportRestoreReplayEquivalence(t *testing.T) {
 	heir := testRig(t, Options{})
 	heirOut := &collector{}
 	heir.ImportWCache(st.WCache)
-	if err := heir.RestoreQuery("q", stmt, nil, heirOut.sink, qs, map[string]int64{"msmt": cut}); err != nil {
+	if err := heir.RestoreQuery("q", stmt, nil, Sink(heirOut.sink).Results(), qs, map[string]int64{"msmt": cut}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < total; i++ {
@@ -103,7 +104,7 @@ func TestRestoreQueryWithoutSnapshotCursorsReplay(t *testing.T) {
 	stmt := sql.MustParse("SELECT m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
 	e := testRig(t, Options{})
 	out := &collector{}
-	if err := e.RestoreQuery("q", stmt, nil, out.sink, nil, map[string]int64{"msmt": 5}); err != nil {
+	if err := e.RestoreQuery("q", stmt, nil, Sink(out.sink).Results(), nil, map[string]int64{"msmt": 5}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
@@ -137,7 +138,7 @@ func TestRestoreQueryWithoutSnapshotCursorsReplay(t *testing.T) {
 func TestRestoreQueryRejectsDuplicateID(t *testing.T) {
 	stmt := sql.MustParse("SELECT m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
 	e := testRig(t, Options{})
-	sink := func(string, int64, relation.Schema, []relation.Tuple) {}
+	sink := func(string, int64, relation.Schema, engine.Result) {}
 	if err := e.RestoreQuery("q", stmt, nil, sink, nil, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,9 @@ import "sync"
 // exactly-once coverage for that stream is lost (the restore degrades to
 // salvage-only for the gap) and Covered reports it.
 type Log struct {
-	mu   sync.Mutex
-	buf  []Tuple
-	cap  int
+	mu  sync.Mutex
+	buf []Tuple
+	cap int
 	// dropped tracks, per stream, the highest sequence number shed by
 	// capacity pressure (not by checkpoint truncation). Coverage holds
 	// for a cut iff every dropped seq is at or below the cut.

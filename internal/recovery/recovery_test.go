@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/relation"
 	"repro/internal/stream"
 )
@@ -183,15 +184,15 @@ func TestLogNearCap(t *testing.T) {
 func TestGateDeduplicatesBelowHWM(t *testing.T) {
 	g := NewGate(nil, nil)
 	var ends []int64
-	sink := func(_ string, end int64, _ relation.Schema, _ []relation.Tuple) {
+	sink := func(_ string, end int64, _ relation.Schema, _ engine.Result) {
 		ends = append(ends, end)
 	}
 	wrapped := g.Wrap("q", sink, nil)
-	wrapped("q", 0, relation.Schema{}, nil) // windowEnd 0 is a legitimate first window
-	wrapped("q", 1000, relation.Schema{}, nil)
-	wrapped("q", 1000, relation.Schema{}, nil) // duplicate after replay
-	wrapped("q", 500, relation.Schema{}, nil)  // below the mark
-	wrapped("q", 2000, relation.Schema{}, nil)
+	wrapped("q", 0, relation.Schema{}, engine.Result{}) // windowEnd 0 is a legitimate first window
+	wrapped("q", 1000, relation.Schema{}, engine.Result{})
+	wrapped("q", 1000, relation.Schema{}, engine.Result{}) // duplicate after replay
+	wrapped("q", 500, relation.Schema{}, engine.Result{})  // below the mark
+	wrapped("q", 2000, relation.Schema{}, engine.Result{})
 	want := []int64{0, 1000, 2000}
 	if !reflect.DeepEqual(ends, want) {
 		t.Fatalf("delivered ends = %v, want %v", ends, want)
@@ -204,7 +205,7 @@ func TestGateDeduplicatesBelowHWM(t *testing.T) {
 func TestGatePanickingSinkDoesNotWedge(t *testing.T) {
 	g := NewGate(nil, nil)
 	calls := 0
-	sink := func(_ string, end int64, _ relation.Schema, _ []relation.Tuple) {
+	sink := func(_ string, end int64, _ relation.Schema, _ engine.Result) {
 		calls++
 		if calls == 1 {
 			panic("sink crash")
@@ -213,19 +214,19 @@ func TestGatePanickingSinkDoesNotWedge(t *testing.T) {
 	wrapped := g.Wrap("q", sink, nil)
 	func() {
 		defer func() { recover() }()
-		wrapped("q", 1000, relation.Schema{}, nil)
+		wrapped("q", 1000, relation.Schema{}, engine.Result{})
 	}()
 	// A panic inside the sink means delivery did not complete: the mark
 	// must NOT advance (the replayed window is re-delivered), and the
 	// gate's per-query mutex must not stay locked.
-	wrapped("q", 1000, relation.Schema{}, nil)
+	wrapped("q", 1000, relation.Schema{}, engine.Result{})
 	if calls != 2 {
 		t.Fatalf("window 1000 delivered %d times after a failed attempt, want 2", calls)
 	}
 	if hwm, ok := g.HWM("q"); !ok || hwm != 1000 {
 		t.Fatalf("HWM = %d,%v want 1000,true", hwm, ok)
 	}
-	wrapped("q", 2000, relation.Schema{}, nil)
+	wrapped("q", 2000, relation.Schema{}, engine.Result{})
 	if calls != 3 {
 		t.Fatalf("gate wedged after sink panic: calls = %d", calls)
 	}
@@ -236,12 +237,12 @@ func TestGateConcurrentQueriesIndependent(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		id := string(rune('a' + i))
-		sink := g.Wrap(id, func(string, int64, relation.Schema, []relation.Tuple) {}, nil)
+		sink := g.Wrap(id, func(string, int64, relation.Schema, engine.Result) {}, nil)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for end := int64(0); end < 100; end++ {
-				sink(id, end*100, relation.Schema{}, nil)
+				sink(id, end*100, relation.Schema{}, engine.Result{})
 			}
 		}()
 	}

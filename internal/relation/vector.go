@@ -208,6 +208,49 @@ func (v *Vector) Value(i int) Value {
 	}
 }
 
+// Gather returns a new vector holding the elements at idxs, in that
+// order, in the same layout as v (typed, generic or all-NULL). v is
+// only read, so a shared vector may be gathered concurrently.
+func (v *Vector) Gather(idxs []int) *Vector {
+	out := &Vector{typ: v.typ, n: len(idxs)}
+	if v.nulls != nil {
+		out.nulls = NewBitmap(len(idxs))
+		for k, i := range idxs {
+			if v.nulls.Get(i) {
+				out.nulls.Set(k)
+			}
+		}
+	}
+	switch {
+	case v.generic != nil:
+		out.generic = make([]Value, len(idxs))
+		for k, i := range idxs {
+			out.generic[k] = v.generic[i]
+		}
+	case v.ints != nil:
+		out.ints = make([]int64, len(idxs))
+		for k, i := range idxs {
+			out.ints[k] = v.ints[i]
+		}
+	case v.floats != nil:
+		out.floats = make([]float64, len(idxs))
+		for k, i := range idxs {
+			out.floats[k] = v.floats[i]
+		}
+	case v.strs != nil:
+		out.strs = make([]string, len(idxs))
+		for k, i := range idxs {
+			out.strs[k] = v.strs[i]
+		}
+	case v.bools != nil:
+		out.bools = make([]bool, len(idxs))
+		for k, i := range idxs {
+			out.bools[k] = v.bools[i]
+		}
+	}
+	return out
+}
+
 // Bytes estimates the vector's footprint: header, typed payload, and
 // null bitmap.
 func (v *Vector) Bytes() int64 {

@@ -40,6 +40,21 @@ func TestVectorBuilderRoundTrip(t *testing.T) {
 				t.Errorf("%s[%d]: IsNull = %v", c.name, i, vec.IsNull(i))
 			}
 		}
+		// Gather keeps the layout and picks elements by index, here every
+		// other one in reverse order.
+		var idxs []int
+		for i := len(c.vals) - 1; i >= 0; i -= 2 {
+			idxs = append(idxs, i)
+		}
+		g := vec.Gather(idxs)
+		if g.Len() != len(idxs) || g.ElemType() != c.typ {
+			t.Errorf("%s: Gather Len/ElemType = %d/%v, want %d/%v", c.name, g.Len(), g.ElemType(), len(idxs), c.typ)
+		}
+		for k, i := range idxs {
+			if got := g.Value(k); got != c.vals[i] {
+				t.Errorf("%s: Gather[%d] = %v, want %v", c.name, k, got, c.vals[i])
+			}
+		}
 	}
 }
 

@@ -43,10 +43,12 @@ func mappingCoolUnless() mapping.Mapping {
 }
 
 // TestBuildColumnarMatchesBuild is the sequence-builder differential:
-// the columnar build over a window batch must produce exactly the
-// sequence the row-at-a-time reference builder (referenceBuild, with
-// engine.Eval filters) produces, for random batches, subject filters,
-// NULL-bearing rows under a NOT filter, and empty windows.
+// the columnar build over a window batch — through BuildColumnar and
+// through BuildColumns fed the batch's column vectors directly, the way
+// the core window sink feeds the engine's result — must produce exactly
+// the sequence the row-at-a-time reference builder (referenceBuild,
+// with engine.Eval filters) produces, for random batches, subject
+// filters, NULL-bearing rows under a NOT filter, and empty windows.
 func TestBuildColumnarMatchesBuild(t *testing.T) {
 	set := testMappings(t)
 	if err := set.set.Add(mappingCoolUnless()); err != nil {
@@ -86,11 +88,19 @@ func TestBuildColumnarMatchesBuild(t *testing.T) {
 		if !sameSequence(want, got) {
 			t.Fatalf("trial %d: sequences differ\nreference: %+v\ncolumnar:  %+v", trial, want, got)
 		}
+		direct, err := sb.BuildColumns(relation.Transpose(batch.Rows), subjects)
+		if err != nil {
+			t.Fatalf("trial %d: BuildColumns: %v", trial, err)
+		}
+		if !sameSequence(want, direct) {
+			t.Fatalf("trial %d: sequences differ\nreference: %+v\ncolumns:   %+v", trial, want, direct)
+		}
 	}
 }
 
 // TestBuildColumnarErrorParity pins the timestamp-error contract: a row
-// whose timestamp column is not an integer fails both builders.
+// whose timestamp column is not an integer fails both builders. A
+// window whose columns do not match the stream schema is an error too.
 func TestBuildColumnarErrorParity(t *testing.T) {
 	set := testMappings(t)
 	sb, err := NewSequenceBuilder(msmtStreamSchema(), set.set)
@@ -106,6 +116,10 @@ func TestBuildColumnarErrorParity(t *testing.T) {
 	}
 	if _, err := sb.BuildColumnar(bad, nil); err == nil {
 		t.Fatal("columnar build accepted a NULL timestamp")
+	}
+	narrow := relation.Transpose([]relation.Tuple{{relation.Int(7), relation.Time(1000)}})
+	if _, err := sb.BuildColumns(narrow, nil); err == nil {
+		t.Fatal("BuildColumns accepted a window narrower than the stream schema")
 	}
 }
 

@@ -156,25 +156,35 @@ func (b *SequenceBuilder) columnPlans() ([]columnPlan, error) {
 	return b.colPlans, b.colPlanErr
 }
 
-// BuildColumnar constructs the StdSeq sequence of a window batch,
-// restricted to the given subjects (nil means all subjects — used by
-// correlation tasks that scan every sensor). It reads the batch's
-// columnar form: column ordinals are resolved once per builder,
+// BuildColumnar constructs the StdSeq sequence of a window batch from
+// its shared columnar form (see BuildColumns).
+func (b *SequenceBuilder) BuildColumnar(batch stream.Batch, subjects map[string]bool) (*Sequence, error) {
+	return b.BuildColumns(batch.Columns(), subjects)
+}
+
+// BuildColumns constructs the StdSeq sequence of a window given as
+// column vectors in stream-schema order, restricted to the given
+// subjects (nil means all subjects — used by correlation tasks that
+// scan every sensor). Column ordinals are resolved once per builder,
 // timestamps are read from the typed int64 payload when the column is
 // typed, and subject/object IRIs are rendered once per distinct key per
 // window instead of once per row. Iteration is rows-outer,
 // mappings-inner, so each predicate's values keep row order. A mapping
 // source filter admits a row only when it evaluates to TRUE under SQL
-// three-valued logic.
-func (b *SequenceBuilder) BuildColumnar(batch stream.Batch, subjects map[string]bool) (*Sequence, error) {
+// three-valued logic. cb is only read, so it may be a window's shared
+// vectors.
+func (b *SequenceBuilder) BuildColumns(cb *relation.ColBatch, subjects map[string]bool) (*Sequence, error) {
 	plans, err := b.columnPlans()
 	if err != nil {
 		return nil, err
 	}
-	cb := batch.Columns()
 	n := cb.Len()
 	if n == 0 {
 		return &Sequence{States: []State{}}, nil
+	}
+	if cb.Arity() != b.schema.Tuple.Arity() {
+		return nil, fmt.Errorf("starql: window has %d columns, stream %s has %d",
+			cb.Arity(), b.schema.Name, b.schema.Tuple.Arity())
 	}
 	tsVec := cb.Col(b.tsIdx)
 	var tsInts []int64

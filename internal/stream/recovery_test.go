@@ -89,7 +89,7 @@ func TestRestoreSkipsEmittedWindows(t *testing.T) {
 		NextEmit: 2,
 		MaxTS:    2500,
 		Pending: []Batch{
-			{WindowID: 1, End: 2000},  // already emitted: must be dropped
+			{WindowID: 1, End: 2000}, // already emitted: must be dropped
 			{WindowID: 2, End: 3000},
 		},
 	}
