@@ -331,9 +331,13 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 	if err != nil {
 		return nil, err
 	}
-	bindings, err := s.translator.EvalBindings(tl)
-	if err != nil {
-		return nil, err
+	// The full translation evaluated the bindings to build the stream
+	// fleet; only a translation without one leaves them to evaluate.
+	bindings := tl.Bindings
+	if topts.SkipStreamFleet {
+		if bindings, err = s.translator.EvalBindings(tl); err != nil {
+			return nil, err
+		}
 	}
 	task := &Task{
 		ID: id, Query: q, Translation: tl, Bindings: bindings,

@@ -8,13 +8,15 @@ import (
 // unfolded query fleets efficiently (§2: "the queries ... can be very
 // inefficient, e.g., they contain many redundant joins and unions"):
 //
-//  1. duplicate-union-branch elimination,
-//  2. predicate pushdown through filters into join inputs,
-//  3. cross-product + equality predicate → hash join conversion,
-//  4. filter fusion (adjacent filters merge).
+//  1. join-graph ordering of inner FROM lists (joinorder.go), once,
+//  2. duplicate-union-branch elimination,
+//  3. predicate pushdown through filters into join inputs,
+//  4. cross-product + equality predicate → hash join conversion,
+//  5. filter fusion (adjacent filters merge).
 //
-// Passes iterate to a fixpoint bounded by plan depth.
+// Passes 2–5 iterate to a fixpoint bounded by plan depth.
 func Optimize(p Plan) Plan {
+	orderJoins(p)
 	for i := 0; i < 8; i++ {
 		var changed bool
 		p, changed = rewriteOnce(p)

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -134,28 +135,35 @@ func (t Tuple) String() string {
 }
 
 // Key returns a comparable aggregate of selected columns, usable as a map
-// key for hash joins and group-by. It encodes values compactly into a
-// string; distinct value sequences produce distinct keys.
+// key for hash joins, group-by, DISTINCT, index lookups and partition
+// routing. It encodes values compactly into a string; distinct value
+// sequences produce distinct keys, and values that compare equal under
+// SQL produce the same key: -0.0 keys as 0, since -0 = 0.
 func (t Tuple) Key(cols []int) string {
-	var sb strings.Builder
+	var scratch [128]byte // keys of a few short values build without a heap buffer
+	buf := scratch[:0]
 	for _, c := range cols {
 		v := t[c]
-		sb.WriteByte(byte(v.Type) + '0')
+		buf = append(buf, byte(v.Type)+'0')
 		switch v.Type {
 		case TInt, TTime:
-			fmt.Fprintf(&sb, "%d", v.Int)
+			buf = strconv.AppendInt(buf, v.Int, 10)
 		case TFloat:
-			fmt.Fprintf(&sb, "%g", v.Float)
+			f := v.Float
+			if f == 0 {
+				f = 0 // folds -0.0 into +0.0
+			}
+			buf = strconv.AppendFloat(buf, f, 'g', -1, 64)
 		case TString:
-			sb.WriteString(v.Str)
+			buf = append(buf, v.Str...)
 		case TBool:
 			if v.Bool {
-				sb.WriteByte('1')
+				buf = append(buf, '1')
 			} else {
-				sb.WriteByte('0')
+				buf = append(buf, '0')
 			}
 		}
-		sb.WriteByte(0x1f) // unit separator: avoids "ab","c" vs "a","bc" collisions
+		buf = append(buf, 0x1f) // unit separator: avoids "ab","c" vs "a","bc" collisions
 	}
-	return sb.String()
+	return string(buf)
 }

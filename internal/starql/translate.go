@@ -33,6 +33,10 @@ type Translation struct {
 	// query replaces: one SQL(+) query per (binding, stream attribute,
 	// stream mapping). This is what the paper's engineers wrote by hand.
 	StreamFleet []*sql.SelectStmt
+	// Bindings are the WHERE bindings the static fleet evaluated to while
+	// building the stream fleet; nil with Options.SkipStreamFleet, which
+	// evaluates none (call EvalBindings).
+	Bindings []Binding
 
 	// WindowSpec/Pulse for the runtime.
 	Window stream.WindowSpec
@@ -49,10 +53,6 @@ type Options struct {
 	// SkipStreamFleet suppresses per-binding stream fleet generation
 	// (used when only the runtime registration is needed).
 	SkipStreamFleet bool
-	// Bindings, when non-nil, are used for stream-fleet generation
-	// instead of evaluating the static fleet (the caller already knows
-	// the bindings).
-	Bindings []Binding
 	// Trace, when non-nil, receives "rewrite" and "unfold" spans with
 	// the stage statistics as attributes.
 	Trace *telemetry.Trace
@@ -173,14 +173,11 @@ func (tr *Translator) Translate(q *Query, opts Options) (*Translation, error) {
 	}
 
 	if !opts.SkipStreamFleet {
-		bindings := opts.Bindings
-		if bindings == nil {
-			bindings, err = tr.EvalBindings(out)
-			if err != nil {
-				return nil, err
-			}
+		out.Bindings, err = tr.EvalBindings(out)
+		if err != nil {
+			return nil, err
 		}
-		out.StreamFleet, err = tr.streamFleet(q, bindings, uopts, &out.UnfoldStats)
+		out.StreamFleet, err = tr.streamFleet(q, out.Bindings, uopts, &out.UnfoldStats)
 		if err != nil {
 			return nil, err
 		}

@@ -102,6 +102,40 @@ func TestEvalBindingsFigure1(t *testing.T) {
 	}
 }
 
+// The full translation records the bindings it evaluated to build the
+// stream fleet, so registration need not evaluate the static fleet again;
+// a translation without the stream fleet evaluates none.
+func TestTranslateRecordsBindings(t *testing.T) {
+	q := MustParse(figure1)
+	w := newTestMappings(t)
+	tr := NewTranslator(testTBox(), w.set, w.cat)
+	skip, err := tr.Translate(q, Options{SkipStreamFleet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skip.Bindings != nil {
+		t.Errorf("SkipStreamFleet translation evaluated %d bindings", len(skip.Bindings))
+	}
+	want, err := tr.EvalBindings(skip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := tr.Translate(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Bindings) != len(want) {
+		t.Fatalf("Translation.Bindings = %v, EvalBindings = %v", full.Bindings, want)
+	}
+	for i := range want {
+		for v, term := range want[i] {
+			if full.Bindings[i][v] != term {
+				t.Errorf("binding %d: %s = %v, EvalBindings %v", i, v, full.Bindings[i][v], term)
+			}
+		}
+	}
+}
+
 func TestStreamFleetPerBinding(t *testing.T) {
 	q := MustParse(figure1)
 	w := newTestMappings(t)
